@@ -15,10 +15,11 @@ import (
 	"io"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"fptree/internal/core"
 	"fptree/internal/nvtree"
@@ -31,6 +32,12 @@ import (
 const Version = "fptree-memkv/1.1"
 
 // Store is the pluggable storage engine behind the server.
+//
+// The key and value slices passed to Set, Get and Delete are valid only for
+// the duration of the call: the server parses requests in place, so they are
+// slices of its per-connection read buffers, overwritten by the next read. A
+// Store copies whatever it keeps. The value Get returns belongs to the store;
+// callers copy it out and never modify it.
 type Store interface {
 	Set(key, value []byte) error
 	Get(key []byte) ([]byte, bool)
@@ -43,6 +50,15 @@ type Store interface {
 const MaxValueSize = 120
 
 const slotSize = MaxValueSize + 2
+
+// MaxKeyLen is memcached's key length cap. set, get and delete reject a
+// longer key with "CLIENT_ERROR bad command line format".
+const MaxKeyLen = 250
+
+// MaxLineLen bounds one command line, "\r\n" included: it is the size of the
+// fixed per-connection read buffer lines are parsed in. A longer line gets
+// "CLIENT_ERROR line too long" and the connection is closed.
+const MaxLineLen = 16 << 10
 
 // ErrValueTooLarge is returned by Store.Set when the value does not fit in
 // the trees' inline value slots.
@@ -596,9 +612,21 @@ func (cw *connWriter) run(s *Server, conn net.Conn, w *bufio.Writer) {
 	flush()
 }
 
+// session is the read half of a pipelined connection: the reader/executor's
+// parse state, reused by every command so that steady-state requests
+// allocate nothing. Each command line is parsed in place — fields are slices
+// of r's buffer, valid only until the next read from r.
+type session struct {
+	s      *Server
+	r      *bufio.Reader
+	cw     *connWriter
+	fields [][]byte // the current line's fields
+	key    []byte   // a set's key, copied out of the line before the payload read
+	data   []byte   // a set's payload and its trailing "\r\n"
+}
+
 func (s *Server) handle(conn net.Conn) {
 	m := &s.metrics
-	r := bufio.NewReader(countingReader{conn, &m.BytesRead})
 	w := bufio.NewWriter(countingWriter{conn, &m.BytesWritten})
 	cw := &connWriter{out: make(chan *bytes.Buffer, pipelineDepth), done: make(chan struct{})}
 	go cw.run(s, conn, w)
@@ -610,18 +638,11 @@ func (s *Server) handle(conn net.Conn) {
 		s.metrics.CurrConnections.Add(-1)
 	}()
 	s.metrics.CurrConnections.Add(1)
-	enqueue := func(b *bytes.Buffer) bool {
-		if cw.failed.Load() {
-			replyBufPool.Put(b)
-			return false
-		}
-		cw.out <- b
-		return true
-	}
-	reply := func(msg string) bool {
-		b := getReplyBuf()
-		b.WriteString(msg)
-		return enqueue(b)
+	c := &session{
+		s:    s,
+		r:    bufio.NewReaderSize(countingReader{conn, &m.BytesRead}, MaxLineLen),
+		cw:   cw,
+		data: make([]byte, MaxValueSize+2),
 	}
 	for {
 		if s.closing.Load() || cw.failed.Load() {
@@ -630,82 +651,138 @@ func (s *Server) handle(conn net.Conn) {
 		if s.cfg.ReadTimeout > 0 && !s.closing.Load() {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
-		line, err := r.ReadString('\n')
+		line, err := c.r.ReadSlice('\n')
+		if errors.Is(err, bufio.ErrBufferFull) {
+			// The rest of the line cannot be told apart from the next
+			// command, so the stream cannot be resynchronized.
+			m.ProtocolErrors.Add(1)
+			c.reply("CLIENT_ERROR line too long\r\n")
+			return
+		}
 		if err != nil {
 			return
 		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
+		c.fields = appendFields(c.fields[:0], line)
+		if len(c.fields) == 0 {
 			continue
 		}
-		start := time.Now()
-		switch fields[0] {
-		case "set":
-			sp := s.cfg.Tracer.Start(trace.OpReqSet)
-			keep := s.cmdSet(sp, fields, r, reply, start)
-			sp.Finish()
-			s.noteSlow("set", fields, start)
-			if !keep {
-				return
-			}
-		case "get", "gets":
-			sp := s.cfg.Tracer.Start(trace.OpReqGet)
-			keep := s.cmdGet(sp, fields, enqueue, start)
-			sp.Finish()
-			s.noteSlow("get", fields, start)
-			if !keep {
-				return
-			}
-		case "delete":
-			sp := s.cfg.Tracer.Start(trace.OpReqDelete)
-			keep := s.cmdDelete(sp, fields, reply, start)
-			sp.Finish()
-			s.noteSlow("delete", fields, start)
-			if !keep {
-				return
-			}
-		case "stats":
-			m.CmdStats.Add(1)
-			b := getReplyBuf()
-			if len(fields) == 2 && fields[1] == "shards" {
-				ss, ok := s.store.(ShardStatser)
-				if !ok {
-					m.ProtocolErrors.Add(1)
-					b.WriteString("ERROR\r\n")
-					if !enqueue(b) {
-						return
-					}
-					continue
-				}
-				writeShardStats(b, ss, "\r\n")
-			} else {
-				s.writeStats(b, "\r\n")
-			}
-			b.WriteString("END\r\n")
-			if !enqueue(b) {
-				return
-			}
-		case "version":
-			m.CmdVersion.Add(1)
-			if !reply("VERSION " + Version + "\r\n") {
-				return
-			}
-		case "quit":
+		if !c.exec() {
 			return
-		default:
-			m.ProtocolErrors.Add(1)
-			if !reply("ERROR\r\n") {
-				return
-			}
 		}
 	}
+}
+
+func (c *session) enqueue(b *bytes.Buffer) bool {
+	if c.cw.failed.Load() {
+		replyBufPool.Put(b)
+		return false
+	}
+	c.cw.out <- b
+	return true
+}
+
+func (c *session) reply(msg string) bool {
+	b := getReplyBuf()
+	b.WriteString(msg)
+	return c.enqueue(b)
+}
+
+// arg returns field i of the current line, or nil when the line is shorter.
+func (c *session) arg(i int) []byte {
+	if i < len(c.fields) {
+		return c.fields[i]
+	}
+	return nil
+}
+
+// exec runs the command in c.fields; it reports whether the connection
+// should stay open.
+func (c *session) exec() bool {
+	s, m := c.s, &c.s.metrics
+	start := time.Now()
+	switch string(c.fields[0]) {
+	case "set":
+		sp := s.cfg.Tracer.Start(trace.OpReqSet)
+		keep := c.set(sp, start)
+		sp.Finish()
+		s.noteSlow("set", c.key, start)
+		return keep
+	case "get", "gets":
+		sp := s.cfg.Tracer.Start(trace.OpReqGet)
+		keep := c.get(sp, start)
+		sp.Finish()
+		s.noteSlow("get", c.arg(1), start)
+		return keep
+	case "delete":
+		sp := s.cfg.Tracer.Start(trace.OpReqDelete)
+		keep := c.delete(sp, start)
+		sp.Finish()
+		s.noteSlow("delete", c.arg(1), start)
+		return keep
+	case "stats":
+		m.CmdStats.Add(1)
+		b := getReplyBuf()
+		if len(c.fields) == 2 && string(c.fields[1]) == "shards" {
+			ss, ok := s.store.(ShardStatser)
+			if !ok {
+				m.ProtocolErrors.Add(1)
+				b.WriteString("ERROR\r\n")
+				return c.enqueue(b)
+			}
+			writeShardStats(b, ss, "\r\n")
+		} else {
+			s.writeStats(b, "\r\n")
+		}
+		b.WriteString("END\r\n")
+		return c.enqueue(b)
+	case "version":
+		m.CmdVersion.Add(1)
+		return c.reply("VERSION " + Version + "\r\n")
+	case "quit":
+		return false
+	default:
+		m.ProtocolErrors.Add(1)
+		return c.reply("ERROR\r\n")
+	}
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports as space.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// appendFields appends the whitespace-separated fields of line to dst, as
+// slices of line. It splits exactly where bytes.Fields does (unicode.IsSpace,
+// so "\r\n" never ends up in a field) but reuses dst instead of allocating.
+func appendFields(dst [][]byte, line []byte) [][]byte {
+	start := -1
+	for i := 0; i < len(line); {
+		space, size := false, 1
+		if b := line[i]; b < utf8.RuneSelf {
+			space = asciiSpace[b]
+		} else {
+			var r rune
+			r, size = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case space && start >= 0:
+			dst = append(dst, line[start:i])
+			start = -1
+		case !space && start < 0:
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
 }
 
 // noteSlow counts and event-logs a request that crossed SlowOpThreshold.
 // Unlike trace sampling this sees every request: the check rides on the
 // per-request timing the latency histograms already pay for, so slow
 // outliers surface even with tracing disabled.
-func (s *Server) noteSlow(verb string, fields []string, start time.Time) {
+func (s *Server) noteSlow(verb string, key []byte, start time.Time) {
 	th := s.cfg.SlowOpThreshold
 	if th <= 0 {
 		return
@@ -715,93 +792,116 @@ func (s *Server) noteSlow(verb string, fields []string, start time.Time) {
 		return
 	}
 	s.metrics.SlowOps.Add(1)
-	key := ""
-	if len(fields) > 1 {
-		key = fields[1]
-	}
 	s.event("slow", "%s %q took %s (threshold %s)", verb, key, d, th)
 }
 
-// cmdSet handles one `set <key> <flags> <exptime> <bytes> [noreply]`
-// command; it reports whether the connection should stay open. sp is nil
-// unless this request was sampled.
-func (s *Server) cmdSet(sp *trace.Span, fields []string, r *bufio.Reader, reply func(string) bool, start time.Time) bool {
-	sp.Enter(trace.PhaseParse)
-	m := &s.metrics
-	noreply := len(fields) == 6 && fields[5] == "noreply"
-	if len(fields) < 5 || len(fields) > 6 || (len(fields) == 6 && !noreply) {
-		m.ProtocolErrors.Add(1)
-		return reply("CLIENT_ERROR bad command line format\r\n")
+// skip consumes a set payload of n bytes and its "\r\n" so that framing
+// survives a rejected set; it reports whether the connection is still
+// readable.
+func (c *session) skip(n int) bool {
+	if _, err := c.r.Discard(n); err != nil {
+		return false
 	}
-	n, err := strconv.Atoi(fields[4])
+	_, err := c.r.Discard(2)
+	return err == nil
+}
+
+// set handles one `set <key> <flags> <exptime> <bytes> [noreply]` command;
+// it reports whether the connection should stay open. sp is nil unless this
+// request was sampled.
+func (c *session) set(sp *trace.Span, start time.Time) bool {
+	sp.Enter(trace.PhaseParse)
+	s, m, f := c.s, &c.s.metrics, c.fields
+	// The payload read below reuses the read buffer under f, so the key is
+	// copied out first.
+	c.key = append(c.key[:0], c.arg(1)...)
+	noreply := len(f) == 6 && string(f[5]) == "noreply"
+	if len(f) < 5 || len(f) > 6 || (len(f) == 6 && !noreply) {
+		m.ProtocolErrors.Add(1)
+		return c.reply("CLIENT_ERROR bad command line format\r\n")
+	}
+	n, err := strconv.Atoi(string(f[4]))
 	if err != nil || n < 0 {
 		// The payload length is unknowable; the stream cannot be
 		// resynchronized. Report and keep reading (as memcached does).
 		m.ProtocolErrors.Add(1)
-		return reply("CLIENT_ERROR bad command line format\r\n")
+		return c.reply("CLIENT_ERROR bad command line format\r\n")
+	}
+	// Both rejections below consume the declared payload first so framing
+	// stays intact, and are client errors reported even on noreply.
+	if len(c.key) > MaxKeyLen {
+		if !c.skip(n) {
+			return false
+		}
+		m.ProtocolErrors.Add(1)
+		return c.reply("CLIENT_ERROR bad command line format\r\n")
 	}
 	if n > MaxValueSize {
-		// Consume the declared payload so framing stays intact, then
-		// reject. Oversize is a client error, reported even on noreply.
-		if _, err := io.CopyN(io.Discard, r, int64(n)+2); err != nil {
+		if !c.skip(n) {
 			return false
 		}
 		m.StoreErrors.Add(1)
-		return reply("SERVER_ERROR object too large for cache\r\n")
+		return c.reply("SERVER_ERROR object too large for cache\r\n")
 	}
-	data := make([]byte, n+2) // payload + trailing \r\n
-	if _, err := io.ReadFull(r, data); err != nil {
+	data := c.data[:n+2] // payload + trailing \r\n
+	if _, err := io.ReadFull(c.r, data); err != nil {
 		return false
 	}
 	if data[n] != '\r' || data[n+1] != '\n' {
 		// Corrupt framing is reported even under noreply: the
 		// connection is already suspect and silence would hide it.
 		m.ProtocolErrors.Add(1)
-		return reply("CLIENT_ERROR bad data chunk\r\n")
+		return c.reply("CLIENT_ERROR bad data chunk\r\n")
 	}
 	m.CmdSet.Add(1)
 	sp.Enter(trace.PhaseStore)
-	err = s.store.Set([]byte(fields[1]), data[:n])
+	err = s.store.Set(c.key, data[:n])
 	m.SetLatency.Observe(time.Since(start))
 	sp.Enter(trace.PhaseReply)
 	if err != nil {
 		m.StoreErrors.Add(1)
-		s.event("store", "set %q: %v", fields[1], err)
+		s.event("store", "set %q: %v", c.key, err)
 	}
 	if noreply {
 		return true
 	}
 	switch {
 	case errors.Is(err, ErrValueTooLarge):
-		return reply("SERVER_ERROR object too large for cache\r\n")
+		return c.reply("SERVER_ERROR object too large for cache\r\n")
 	case err != nil:
-		return reply(fmt.Sprintf("SERVER_ERROR %v\r\n", err))
+		return c.reply(fmt.Sprintf("SERVER_ERROR %v\r\n", err))
 	default:
-		return reply("STORED\r\n")
+		return c.reply("STORED\r\n")
 	}
 }
 
-// cmdGet handles one `get <key>...` command; it reports whether the
-// connection should stay open. The whole response (VALUE blocks + END) is
-// built in one reply buffer and enqueued as a unit, so pipelined gets
-// coalesce into the writer's per-burst flush.
-func (s *Server) cmdGet(sp *trace.Span, fields []string, enqueue func(*bytes.Buffer) bool, start time.Time) bool {
+// get handles one `get <key>...` command; it reports whether the connection
+// should stay open. The whole response (VALUE blocks + END) is built in one
+// reply buffer and enqueued as a unit, so pipelined gets coalesce into the
+// writer's per-burst flush.
+func (c *session) get(sp *trace.Span, start time.Time) bool {
 	sp.Enter(trace.PhaseParse)
-	m := &s.metrics
+	s, m := c.s, &c.s.metrics
 	b := getReplyBuf()
-	if len(fields) < 2 {
+	keys := c.fields[1:]
+	if len(keys) == 0 {
 		m.ProtocolErrors.Add(1)
 		b.WriteString("ERROR\r\n")
-		return enqueue(b)
+		return c.enqueue(b)
+	}
+	for _, key := range keys {
+		if len(key) > MaxKeyLen {
+			m.ProtocolErrors.Add(1)
+			b.WriteString("CLIENT_ERROR bad command line format\r\n")
+			return c.enqueue(b)
+		}
 	}
 	sp.Enter(trace.PhaseStore)
-	for _, key := range fields[1:] {
+	for _, key := range keys {
 		m.CmdGet.Add(1)
-		if v, ok := s.store.Get([]byte(key)); ok {
+		if v, ok := s.store.Get(key); ok {
 			m.GetHits.Add(1)
-			fmt.Fprintf(b, "VALUE %s 0 %d\r\n", key, len(v))
-			b.Write(v)
-			b.WriteString("\r\n")
+			writeValue(b, key, v)
 		} else {
 			m.GetMisses.Add(1)
 		}
@@ -809,27 +909,39 @@ func (s *Server) cmdGet(sp *trace.Span, fields []string, enqueue func(*bytes.Buf
 	sp.Enter(trace.PhaseReply)
 	b.WriteString("END\r\n")
 	m.GetLatency.Observe(time.Since(start))
-	return enqueue(b)
+	return c.enqueue(b)
 }
 
-// cmdDelete handles one `delete <key> [noreply]` command; it reports whether
+// writeValue appends one "VALUE <key> 0 <bytes>\r\n<data>\r\n" block to b.
+func writeValue(b *bytes.Buffer, key, v []byte) {
+	b.WriteString("VALUE ")
+	b.Write(key)
+	b.WriteString(" 0 ")
+	b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(len(v)), 10))
+	b.WriteString("\r\n")
+	b.Write(v)
+	b.WriteString("\r\n")
+}
+
+// delete handles one `delete <key> [noreply]` command; it reports whether
 // the connection should stay open.
-func (s *Server) cmdDelete(sp *trace.Span, fields []string, reply func(string) bool, start time.Time) bool {
+func (c *session) delete(sp *trace.Span, start time.Time) bool {
 	sp.Enter(trace.PhaseParse)
-	m := &s.metrics
-	noreply := len(fields) == 3 && fields[2] == "noreply"
-	if len(fields) < 2 || len(fields) > 3 || (len(fields) == 3 && !noreply) {
+	s, m, f := c.s, &c.s.metrics, c.fields
+	noreply := len(f) == 3 && string(f[2]) == "noreply"
+	if len(f) < 2 || len(f) > 3 || (len(f) == 3 && !noreply) || len(f[1]) > MaxKeyLen {
+		// An over-long key is a client error, reported even on noreply.
 		m.ProtocolErrors.Add(1)
-		return reply("CLIENT_ERROR bad command line format\r\n")
+		return c.reply("CLIENT_ERROR bad command line format\r\n")
 	}
 	m.CmdDelete.Add(1)
 	sp.Enter(trace.PhaseStore)
-	found, err := s.store.Delete([]byte(fields[1]))
+	found, err := s.store.Delete(f[1])
 	m.DeleteLatency.Observe(time.Since(start))
 	sp.Enter(trace.PhaseReply)
 	if err != nil {
 		m.StoreErrors.Add(1)
-		s.event("store", "delete %q: %v", fields[1], err)
+		s.event("store", "delete %q: %v", f[1], err)
 	} else if found {
 		m.DeleteHits.Add(1)
 	} else {
@@ -840,10 +952,10 @@ func (s *Server) cmdDelete(sp *trace.Span, fields []string, reply func(string) b
 	}
 	switch {
 	case err != nil:
-		return reply(fmt.Sprintf("SERVER_ERROR %v\r\n", err))
+		return c.reply(fmt.Sprintf("SERVER_ERROR %v\r\n", err))
 	case found:
-		return reply("DELETED\r\n")
+		return c.reply("DELETED\r\n")
 	default:
-		return reply("NOT_FOUND\r\n")
+		return c.reply("NOT_FOUND\r\n")
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"fptree/internal/scm"
 )
 
-func newShardedFPTreeC(t *testing.T, n int) *ShardedStore {
+func newShardedFPTreeC(t testing.TB, n int) *ShardedStore {
 	t.Helper()
 	pools := make([]*scm.Pool, n)
 	stores := make([]Store, n)

@@ -1,6 +1,8 @@
 package kvserver
 
 import (
+	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,5 +99,49 @@ func TestSlowOpDisabledByDefault(t *testing.T) {
 	}
 	if got := srv.Metrics().SlowOps.Load(); got != 0 {
 		t.Fatalf("slow_ops = %d without a threshold, want 0", got)
+	}
+}
+
+// TestSlowSetEventNamesItsKey pins the slow-op event of a set to the set's
+// key. The line is parsed in place, and a payload that arrives in its own
+// read refills the buffer the line's fields point into.
+func TestSlowSetEventNamesItsKey(t *testing.T) {
+	ring := obs.NewEventRing(8)
+	srv, addr, err := ServeConfig("127.0.0.1:0", NewHashMapStore(), Config{
+		Events:          ring,
+		SlowOpThreshold: time.Nanosecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, r := dialRaw(t, addr)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+
+	const line = "set line-key 0 0 8\r\n"
+	if _, err := io.WriteString(conn, line); err != nil {
+		t.Fatal(err)
+	}
+	// Send the payload only once the server has read the line.
+	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().BytesRead.Load() < uint64(len(line)); {
+		if time.Now().After(deadline) {
+			t.Fatal("server never read the command line")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := io.WriteString(conn, "PAYLOAD!\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := r.ReadString('\n'); err != nil || reply != "STORED\r\n" {
+		t.Fatalf("set = %q,%v", reply, err)
+	}
+	for _, e := range ring.Events() {
+		if e.Kind == "slow" && !strings.Contains(e.Msg, `set "line-key"`) {
+			t.Fatalf("slow event %q does not name the set's key", e.Msg)
+		}
+	}
+	if got := srv.Metrics().SlowOps.Load(); got != 1 {
+		t.Fatalf("slow_ops = %d, want 1", got)
 	}
 }

@@ -89,6 +89,9 @@ func (c *CTree) Pool() *scm.Pool { return c.t.Pool() }
 func (c *CTree) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// The concurrent write paths count into c.size, not the inner tree's
+	// cached size; publish it so the size invariant checks the live count.
+	c.t.size = c.Len()
 	return c.t.CheckInvariants()
 }
 
@@ -213,6 +216,9 @@ func (c *CVarTree) Pool() *scm.Pool { return c.t.Pool() }
 func (c *CVarTree) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// The concurrent write paths count into c.size, not the inner tree's
+	// cached size; publish it so the size invariant checks the live count.
+	c.t.size = c.Len()
 	return c.t.CheckInvariants()
 }
 

@@ -374,6 +374,10 @@ func TestConcurrentStripes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// The size invariant must see the count the concurrent paths keep.
+	if err := ct.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestConcurrentRecovery(t *testing.T) {
